@@ -9,18 +9,17 @@ type result = {
   mins : Storage.Value.t list;
 }
 
-exception Timeout
-
 (* Test-only escape hatch: evaluate scan predicates with the original
    row-at-a-time closures instead of selection vectors. The cross-check
    test runs the full workload through both paths and asserts identical
    results; nothing in the library or the binaries sets this. *)
 let reference_scan = Atomic.make false
 
-(* Row-major tuple store for intermediate results. *)
-type batch = {
+exception Timeout = Kernel.Timeout
+
+type batch = Kernel.batch = {
   rels : int array;
-  slots : int array;  (* relation index -> slot, -1 when absent *)
+  slots : int array;
   width : int;
   mutable data : int array;
   mutable nrows : int;
@@ -33,10 +32,7 @@ let slot_of b rel =
 
 let null = Storage.Value.null_code
 
-(* Composite hashes are non-negative ({!Join_table.mix} masks the sign
-   bit), so a negative sentinel marks "some key column is NULL" without
-   allocating an option per row. *)
-let null_key = -1
+let null_key = Kernel.null_key
 
 (* Placeholder filling reader arrays before the per-edge closures land. *)
 let no_reader : int -> int = fun _ -> null
@@ -62,26 +58,31 @@ let phase_of (p : Plan.t) =
 
 (* Per-slot scratch for morsel-parallel phases. A slot is owned by at
    most one running worker at a time ({!Util.Domain_pool.run_workers}'s
-   contract), so nothing here is locked. [wbuf] stages each claimed
-   morsel's output contiguously; the caller stitches the segments back
-   together in morsel-index order, which is what makes assembled batches
-   bit-for-bit the batches the serial path builds. *)
+   contract), so nothing here is locked. [wout] is the slot's output
+   sink: each claimed morsel appends its rows contiguously, and the
+   caller stitches the segments back together in morsel-index order,
+   which is what makes assembled batches bit-for-bit the batches the
+   serial path builds. *)
 type wstate = {
   wslot : int;
-  mutable wbuf : int array;
-  mutable wlen : int;
+  mutable wout : batch;
   mutable wsel : int array; (* scan selection-vector scratch *)
   mutable wfill : (int array -> int -> int -> int) option;
       (* per-phase selector instance (owns mutable decode scratch) *)
   mutable wclaims : int; (* morsels claimed in the current phase *)
 }
 
-let wbuf_reserve w extra =
-  let needed = w.wlen + extra in
-  if needed > Array.length w.wbuf then begin
-    let bigger = Array.make (max needed (2 * Array.length w.wbuf)) 0 in
-    Array.blit w.wbuf 0 bigger 0 w.wlen;
-    w.wbuf <- bigger
+(* Growth of a worker's sink: never the run's scratch pool, which
+   belongs to the calling domain, but the {!Reserve}, which any domain
+   may use. The outgrown array goes straight back; the last one returns
+   with the run's arrays. *)
+let wout_grow b extra =
+  let needed = (b.nrows + extra) * b.width in
+  if needed > Array.length b.data then begin
+    let bigger = Reserve.take (max needed (2 * Array.length b.data)) in
+    Kernel.copy_ints b.data 0 bigger 0 (b.nrows * b.width);
+    Reserve.give b.data;
+    b.data <- bigger
   end
 
 let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
@@ -93,9 +94,6 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
     work := !work + n;
     if !work > limit then raise Timeout
   in
-  (* The work_mem stand-in: one intermediate result outgrowing the row
-     budget counts as a timeout. *)
-  let check_rows (b : batch) = if b.nrows > row_limit then raise Timeout in
   (* Random-access code readers (the column layer is sealed; flat columns
      compile to a plain array load, packed ones to shift/mask). *)
   let column_data rel col =
@@ -106,17 +104,31 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
      (and key/selection buffers), reused for the next intermediate. A
      bushy plan stops reallocating its working set once the first few
      joins have sized it. Arrays are never zeroed on reuse — every
-     consumer writes before it reads. *)
+     consumer writes before it reads. Misses go to the {!Reserve}, and
+     [owned] is every array the pool has taken from it, all given back
+     when the run ends: no pool array escapes a run (results carry
+     counts and MINs, observers see counts, the join cache copies its
+     rows). *)
   let scratch = ref [] in
+  let owned = ref [] in
   let pool_acquire min_len =
-    let rec go acc = function
-      | [] -> Array.make (max 1024 min_len) 0
-      | a :: rest when Array.length a >= min_len ->
-          scratch := List.rev_append acc rest;
-          a
-      | a :: rest -> go (a :: acc) rest
+    let best =
+      List.fold_left
+        (fun best a ->
+          let n = Array.length a in
+          if n >= min_len && (best == [||] || n < Array.length best) then a
+          else best)
+        [||] !scratch
     in
-    go [] !scratch
+    if best != [||] then begin
+      scratch := List.filter (fun a -> a != best) !scratch;
+      best
+    end
+    else begin
+      let a = Reserve.take (max 1024 min_len) in
+      owned := a :: !owned;
+      a
+    end
   in
   let pool_release a = if Array.length a >= 1024 then scratch := a :: !scratch in
   let retire b = pool_release b.data in
@@ -136,11 +148,20 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
       nrows = 0;
     }
   in
+  (* Doubling growth, capped at the row budget while the cap suffices: a
+     join trips once it holds [row_limit + 1] rows, so it never needs the
+     next power of two past that. (Scans are not row-limited and may grow
+     past the cap.) *)
   let batch_reserve b extra_rows =
     let needed = (b.nrows + extra_rows) * b.width in
     if needed > Array.length b.data then begin
-      let bigger = pool_acquire (max needed (2 * Array.length b.data)) in
-      Array.blit b.data 0 bigger 0 (b.nrows * b.width);
+      let doubled = 2 * Array.length b.data in
+      let cap = (row_limit + 1) * b.width in
+      let size =
+        if needed > cap then max needed doubled else max needed (min doubled cap)
+      in
+      let bigger = pool_acquire size in
+      Kernel.copy_ints b.data 0 bigger 0 (b.nrows * b.width);
       pool_release b.data;
       b.data <- bigger
     end
@@ -165,57 +186,36 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
       edges;
     (slots, datas)
   in
-  (* Composite hash of a tuple's join-key columns; [null_key] if any is
-     NULL. *)
-  let tuple_key batch slots datas i =
-    let base = i * batch.width in
-    let h = ref 0 in
-    let ok = ref true in
-    for k = 0 to Array.length slots - 1 do
-      let v =
-        (Array.unsafe_get datas k) (batch.data.(base + Array.unsafe_get slots k))
-      in
-      if v = null then ok := false else h := Join_table.combine !h v
-    done;
-    if !ok then !h else null_key
-  in
-  let keys_equal outer oslots odatas i inner islots idatas j =
-    let obase = i * outer.width and ibase = j * inner.width in
-    let rec go k =
-      if k = Array.length oslots then true
-      else
-        let ov = odatas.(k) outer.data.(obase + oslots.(k)) in
-        let iv = idatas.(k) inner.data.(ibase + islots.(k)) in
-        ov = iv && ov <> null && go (k + 1)
-    in
-    go 0
-  in
-  let emit_joined out outer i inner j =
-    batch_reserve out 1;
-    let base = out.nrows * out.width in
-    Array.blit outer.data (i * outer.width) out.data base outer.width;
-    Array.blit inner.data (j * inner.width) out.data (base + outer.width)
-      inner.width;
-    out.nrows <- out.nrows + 1;
-    check_rows out
-  in
 
   let chunk = 4096 in
 
-  (* ---------------- Morsel-parallel phase machinery ----------------
+  (* ---------------- Phases: one body, serial or morsel-parallel -------
 
-     A phase carves its input rows into [chunk]-sized morsels handed
-     out by an atomic cursor; pool workers stage each morsel's output
-     in slot-local buffers and the caller reassembles it by morsel
-     index, so batches — and therefore every downstream decision — are
-     byte-identical to the serial path at any worker count.
+     A phase runs one body over input rows [0, n): the key hashing of a
+     hash build, or — through [run_into], with an output sink — a scan's
+     selector step, [Kernel.hash_probe] or [Kernel.index_probe]. Bodies
+     return the work they charged.
 
-     Accounting: [base] snapshots [!work] before the phase, workers
-     fold their per-morsel work into a shared accumulator, and each
-     flush compares [base + total] against the limit — the budget trips
-     on exactly the serial path's condition (totals are sums of
-     order-independent per-morsel contributions). Same for emitted rows
-     against [row_limit]. A worker that sees the budget blown raises
+     Serially, the calling domain feeds the body [chunk]-row ranges as
+     slot 0, and the sink is the output batch itself. In parallel, the
+     input is carved into [chunk]-row morsels handed out by an atomic
+     cursor; each worker appends to its slot's sink and the caller
+     reassembles the segments by morsel index, so batches — and
+     therefore every downstream decision — are byte-identical to the
+     serial path at any worker count.
+
+     Accounting: probe bodies check [wbase + work > limit] after every
+     outer row and the sink's row count against [rcap] after every
+     emitted row; [phase] checks the running total after every range.
+     A serial budget therefore trips on the running totals at most one
+     outer row late, with the same fixed timeout result. A morsel's
+     [wbase] is the work before the phase and its [rcap] is [row_limit]
+     rows past its own start — lower bounds of the global totals, so a
+     local trip is always a real one. At each morsel's end its work and
+     rows fold into shared accumulators and the global totals are
+     compared against the limits: the budget trips iff the serial run's
+     would (totals are sums of order-independent per-morsel
+     contributions). A worker that sees the budget blown raises
      {!Timeout}; the pool re-raises it here, and the top-level handler
      below turns it into the usual timeout result. *)
   let nworkers =
@@ -233,8 +233,8 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
         Array.init nworkers (fun slot ->
             {
               wslot = slot;
-              wbuf = Array.make chunk 0;
-              wlen = 0;
+              wout =
+                { rels = [||]; slots = [||]; width = 1; data = [||]; nrows = 0 };
               wsel = [||];
               wfill = None;
               wclaims = 0;
@@ -246,12 +246,7 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
     Morsel.reset phase_work;
     Morsel.reset phase_rows;
     let ws = Util.Once.force workers in
-    Array.iter
-      (fun w ->
-        w.wlen <- 0;
-        w.wfill <- None;
-        w.wclaims <- 0)
-      ws;
+    Array.iter (fun w -> w.wclaims <- 0) ws;
     let cur = Morsel.cursor morsels in
     let outcome =
       match
@@ -274,31 +269,80 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
     (match outcome with Some e -> raise e | None -> ());
     if !work > limit then raise Timeout
   in
-  (* Stitch per-morsel (slot, offset, count) records back into [out] in
-     morsel-index order. Counts are rows; offsets are ints. *)
-  let assemble out ~morsels ~m_src ~m_off ~m_cnt =
+  (* Run [body w ~wbase lo hi], which returns the work it charged, over
+     input rows [0, n): serially on the calling domain (as slot 0) in
+     [chunk]-row ranges, or morsel-parallel on [par]. *)
+  let phase ?par n body =
+    match par with
+    | None ->
+        let w = (Util.Once.force workers).(0) in
+        let lo = ref 0 in
+        while !lo < n do
+          let hi = min n (!lo + chunk) in
+          work := !work + body w ~wbase:!work !lo hi;
+          if !work > limit then raise Timeout;
+          lo := hi
+        done
+    | Some p ->
+        let base = !work in
+        run_phase p ~morsels:((n + chunk - 1) / chunk) ~body:(fun w m ->
+            let lo = m * chunk in
+            let t =
+              Morsel.add phase_work (body w ~wbase:base lo (min n (lo + chunk)))
+            in
+            if base + t > limit then raise Timeout)
+  in
+  (* A phase producing rows into [out]. [rows_limited]: the output counts
+     against [row_limit] (joins do, scans do not). *)
+  let run_into ?(rows_limited = true) out n body =
     let ws = Util.Once.force workers in
-    let width = out.width in
-    let total = ref 0 in
-    for m = 0 to morsels - 1 do
-      total := !total + m_cnt.(m)
-    done;
-    batch_reserve out !total;
-    for m = 0 to morsels - 1 do
-      let cnt = m_cnt.(m) in
-      if cnt > 0 then begin
-        Array.blit ws.(m_src.(m)).wbuf m_off.(m) out.data (out.nrows * width)
-          (cnt * width);
-        out.nrows <- out.nrows + cnt
-      end
-    done
+    Array.iter (fun w -> w.wfill <- None) ws;
+    match par_pool n with
+    | None ->
+        phase n (fun w ~wbase lo hi ->
+            body w ~wbase ~rcap:row_limit ~sink:out ~grow:batch_reserve lo hi)
+    | Some p ->
+        Array.iter
+          (fun w -> w.wout <- { out with data = w.wout.data; nrows = 0 })
+          ws;
+        let morsels = (n + chunk - 1) / chunk in
+        let m_src = pool_acquire morsels
+        and m_off = pool_acquire morsels
+        and m_cnt = pool_acquire morsels in
+        phase ~par:p n (fun w ~wbase lo hi ->
+            let sink = w.wout in
+            let start = sink.nrows in
+            let wk =
+              body w ~wbase ~rcap:(start + row_limit) ~sink ~grow:wout_grow lo hi
+            in
+            let m = lo / chunk and cnt = sink.nrows - start in
+            m_src.(m) <- w.wslot;
+            m_off.(m) <- start;
+            m_cnt.(m) <- cnt;
+            if rows_limited && cnt > 0 && Morsel.add phase_rows cnt > row_limit
+            then raise Timeout;
+            wk);
+        (* Stitch the per-morsel segments into [out] in morsel-index
+           order. *)
+        let width = out.width in
+        let total = ref 0 in
+        for m = 0 to morsels - 1 do
+          total := !total + m_cnt.(m)
+        done;
+        batch_reserve out !total;
+        for m = 0 to morsels - 1 do
+          let cnt = m_cnt.(m) in
+          if cnt > 0 then begin
+            Kernel.copy_ints ws.(m_src.(m)).wout.data (m_off.(m) * width)
+              out.data (out.nrows * width) (cnt * width);
+            out.nrows <- out.nrows + cnt
+          end
+        done;
+        pool_release m_src;
+        pool_release m_off;
+        pool_release m_cnt
   in
 
-  (* One selection vector for the whole run: serial plan evaluation is
-     sequential, so scans never overlap. Deferred via Once, so
-     reference-path runs (and plans that are pure index nested loops)
-     skip the allocation. *)
-  let scan_sel = Util.Once.make (fun () -> Array.make chunk 0) in
   let scan rel =
     let relation = QG.relation graph rel in
     let table = relation.QG.table in
@@ -322,62 +366,27 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
       done
     end
     else begin
-      match par_pool n with
-      | Some p ->
-          (* Morsel path: workers mint their own selector instance from
-             a shared factory (dictionary bitmaps compiled once), fill
-             slot-local selection vectors, and stage survivors in their
-             buffers; assembly by morsel index reproduces the serial
-             append order exactly. *)
-          let factory =
-            Query.Predicate.selector_factory table relation.QG.preds
+      (* Vectorized path: fill a selection vector per chunk (one
+         compaction pass per predicate atom), then append it whole.
+         Each worker mints its own selector instance from a shared
+         factory (dictionary bitmaps compiled once). *)
+      let factory = Query.Predicate.selector_factory table relation.QG.preds in
+      run_into ~rows_limited:false out n
+        (fun w ~wbase:_ ~rcap:_ ~sink ~grow lo hi ->
+          let fill =
+            match w.wfill with
+            | Some f -> f
+            | None ->
+                let f = factory () in
+                w.wfill <- Some f;
+                if Array.length w.wsel < chunk then w.wsel <- Array.make chunk 0;
+                f
           in
-          let morsels = (n + chunk - 1) / chunk in
-          let m_src = pool_acquire morsels
-          and m_off = pool_acquire morsels
-          and m_cnt = pool_acquire morsels in
-          let base = !work in
-          run_phase p ~morsels ~body:(fun w m ->
-              let fill =
-                match w.wfill with
-                | Some f -> f
-                | None ->
-                    let f = factory () in
-                    w.wfill <- Some f;
-                    if Array.length w.wsel < chunk then
-                      w.wsel <- Array.make chunk 0;
-                    f
-              in
-              let lo = m * chunk in
-              let hi = min n (lo + chunk) in
-              let cnt = fill w.wsel lo hi in
-              wbuf_reserve w cnt;
-              Array.blit w.wsel 0 w.wbuf w.wlen cnt;
-              m_src.(m) <- w.wslot;
-              m_off.(m) <- w.wlen;
-              m_cnt.(m) <- cnt;
-              w.wlen <- w.wlen + cnt;
-              let t = Morsel.add phase_work (hi - lo) in
-              if base + t > limit then raise Timeout);
-          assemble out ~morsels ~m_src ~m_off ~m_cnt;
-          pool_release m_src;
-          pool_release m_off;
-          pool_release m_cnt
-      | None ->
-          (* Vectorized path: fill a selection vector per chunk (one
-             compaction pass per predicate atom), then append it whole. *)
-          let fill = Query.Predicate.compile_selector table relation.QG.preds in
-          let sel = Util.Once.force scan_sel in
-          let row = ref 0 in
-          while !row < n do
-            let stop = min n (!row + chunk) in
-            spend (stop - !row);
-            let m = fill sel !row stop in
-            batch_reserve out m;
-            Array.blit sel 0 out.data out.nrows m;
-            out.nrows <- out.nrows + m;
-            row := stop
-          done
+          let cnt = fill w.wsel lo hi in
+          grow sink cnt;
+          Kernel.copy_ints w.wsel 0 sink.data sink.nrows cnt;
+          sink.nrows <- sink.nrows + cnt;
+          hi - lo)
     end;
     out
   in
@@ -387,7 +396,6 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
      hash build/probe work is charged (the NL shortcut charges the
      quadratic pair count instead). Emitted rows are always charged, so
      materialized intermediates can never outgrow the work budget. *)
-  let emit_cost = 2 in
   let hash_match ~oset ~iset ~charge_hash ~table_size ?(retire_inner = true)
       ?prebuilt ?install outer inner =
     let edges = QG.edges_between graph oset iset in
@@ -407,41 +415,25 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
               ~estimated_rows:table_size ~actual_rows:inner.nrows
               ~resizable:config.Engine_config.resize_hash_tables ()
           in
-          (* Build, two-phase: append entries (1 work unit per build row,
-             NULL keys included, matching the incremental path), then one
-             seal that links chains in canonical ascending-payload order
-             and charges the replayed resize bill. When parallel, workers
-             only compute the key hashes — disjoint writes into a shared
-             buffer — and the cheap append loop stays serial, so entry
-             order (hence payload numbering) is identical at any worker
-             count. *)
-          (match par_pool inner.nrows with
-          | Some p ->
-              let n = inner.nrows in
-              let kbuf = pool_acquire n in
-              let morsels = (n + chunk - 1) / chunk in
-              let base = !work in
-              run_phase p ~morsels ~body:(fun _w m ->
-                  let lo = m * chunk in
-                  let hi = min n (lo + chunk) in
-                  for j = lo to hi - 1 do
-                    kbuf.(j) <- tuple_key inner islots idatas j
-                  done;
-                  if charge_hash then begin
-                    let t = Morsel.add phase_work (hi - lo) in
-                    if base + t > limit then raise Timeout
-                  end);
-              for j = 0 to n - 1 do
-                let h = kbuf.(j) in
-                if h <> null_key then Join_table.append jt ~hash:h ~payload:j
+          (* Build, two-phase: a key phase hashes every build row into a
+             buffer (1 work unit per row, NULL keys included, matching
+             the incremental path; in parallel, disjoint writes), the
+             cheap append loop stays serial so entry order (hence payload
+             numbering) is identical at any worker count, and one seal
+             links chains in canonical ascending-payload order and
+             charges the replayed resize bill. *)
+          let n = inner.nrows in
+          let kbuf = pool_acquire n in
+          phase ?par:(par_pool n) n (fun _w ~wbase:_ lo hi ->
+              for j = lo to hi - 1 do
+                kbuf.(j) <- Kernel.tuple_key inner islots idatas j
               done;
-              pool_release kbuf
-          | None ->
-              for j = 0 to inner.nrows - 1 do
-                let h = tuple_key inner islots idatas j in
-                if h <> null_key then Join_table.append jt ~hash:h ~payload:j;
-                if charge_hash then spend 1
-              done);
+              if charge_hash then hi - lo else 0);
+          for j = 0 to n - 1 do
+            let h = kbuf.(j) in
+            if h <> null_key then Join_table.append jt ~hash:h ~payload:j
+          done;
+          pool_release kbuf;
           let seal_work = Join_table.seal jt in
           if charge_hash then spend seal_work;
           (* Publish to the recycling cache while the build batch is
@@ -456,68 +448,20 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
           jt
     in
     let out = batch_create (Array.append outer.rels inner.rels) in
-    (match par_pool outer.nrows with
-    | Some p ->
-        let n = outer.nrows in
-        let ow = outer.width and iw = inner.width in
-        let width = out.width in
-        let morsels = (n + chunk - 1) / chunk in
-        let m_src = pool_acquire morsels
-        and m_off = pool_acquire morsels
-        and m_cnt = pool_acquire morsels in
-        let base = !work in
-        run_phase p ~morsels ~body:(fun w m ->
-            let lo = m * chunk in
-            let hi = min n (lo + chunk) in
-            m_src.(m) <- w.wslot;
-            m_off.(m) <- w.wlen;
-            let wk = ref 0 and emitted = ref 0 in
-            for i = lo to hi - 1 do
-              let h = tuple_key outer oslots odatas i in
-              if h <> null_key then begin
-                let pw =
-                  Join_table.probe jt ~hash:h ~f:(fun j ->
-                      if keys_equal outer oslots odatas i inner islots idatas j
-                      then begin
-                        wbuf_reserve w width;
-                        Array.blit outer.data (i * ow) w.wbuf w.wlen ow;
-                        Array.blit inner.data (j * iw) w.wbuf (w.wlen + ow) iw;
-                        w.wlen <- w.wlen + width;
-                        incr emitted;
-                        wk := !wk + emit_cost
-                      end)
-                in
-                if charge_hash then wk := !wk + pw
-              end
-              else if charge_hash then incr wk
-            done;
-            m_cnt.(m) <- !emitted;
-            let t = Morsel.add phase_work !wk in
-            if base + t > limit then raise Timeout;
-            if !emitted > 0 then begin
-              let r = Morsel.add phase_rows !emitted in
-              if r > row_limit then raise Timeout
-            end);
-        assemble out ~morsels ~m_src ~m_off ~m_cnt;
-        pool_release m_src;
-        pool_release m_off;
-        pool_release m_cnt
-    | None ->
-        for i = 0 to outer.nrows - 1 do
-          let h = tuple_key outer oslots odatas i in
-          if h <> null_key then begin
-            let w =
-              Join_table.probe jt ~hash:h ~f:(fun j ->
-                  if keys_equal outer oslots odatas i inner islots idatas j
-                  then begin
-                    emit_joined out outer i inner j;
-                    spend emit_cost
-                  end)
-            in
-            if charge_hash then spend w
-          end
-          else if charge_hash then spend 1
-        done);
+    let probe =
+      {
+        Kernel.table = Join_table.view jt;
+        outer;
+        oslots;
+        oreaders = odatas;
+        inner;
+        islots;
+        ireaders = idatas;
+        charge = charge_hash;
+      }
+    in
+    run_into out outer.nrows (fun _w ~wbase ~rcap ~sink ~grow lo hi ->
+        Kernel.hash_probe probe ~limit ~wbase ~rcap ~sink ~grow lo hi);
     retire outer;
     if retire_inner then retire inner;
     out
@@ -540,7 +484,7 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
       let keys = pool_acquire (max 1 nrows) in
       let m = ref 0 in
       for i = 0 to nrows - 1 do
-        let h = tuple_key batch slots datas i in
+        let h = Kernel.tuple_key batch slots datas i in
         keys.(i) <- h;
         if h <> null_key then incr m
       done;
@@ -586,9 +530,11 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
           for b = !j to !j_end - 1 do
             spend 1;
             let oi = oidx.(a) and ij = iidx.(b) in
-            if keys_equal outer oslots odatas oi inner islots idatas ij then begin
-              emit_joined out outer oi inner ij;
-              spend emit_cost
+            if Kernel.keys_equal outer oslots odatas oi inner islots idatas ij
+            then begin
+              Kernel.emit_pair out ~grow:batch_reserve outer oi inner ij;
+              if out.nrows > row_limit then raise Timeout;
+              spend Kernel.emit_cost
             end
           done
         done;
@@ -760,87 +706,25 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
         f_odatas.(k) <- column_data e.QG.left e.QG.left_col;
         f_idatas.(k) <- column_data e.QG.right e.QG.right_col)
       other_edges;
-    let filters_pass i inner_row =
-      let base = i * ob.width in
-      let rec go k =
-        if k = nf then true
-        else
-          let ov = f_odatas.(k) ob.data.(base + f_oslots.(k)) in
-          ov <> null && ov = f_idatas.(k) inner_row && go (k + 1)
-      in
-      go 0
-    in
     let out = batch_create (Array.append ob.rels [| inner_rel |]) in
-    (match par_pool ob.nrows with
-    | Some p ->
-        (* Index lookups are read-only (the database's index cache is a
-           copy-on-write snapshot) and the compiled predicate's only
-           mutable state is validated-before-use reader caches, so the
-           probe side parallelizes like a hash probe. *)
-        let n = ob.nrows in
-        let width = out.width in
-        let morsels = (n + chunk - 1) / chunk in
-        let m_src = pool_acquire morsels
-        and m_off = pool_acquire morsels
-        and m_cnt = pool_acquire morsels in
-        let base = !work in
-        run_phase p ~morsels ~body:(fun w m ->
-            let lo = m * chunk in
-            let hi = min n (lo + chunk) in
-            m_src.(m) <- w.wslot;
-            m_off.(m) <- w.wlen;
-            let wk = ref 0 and emitted = ref 0 in
-            for i = lo to hi - 1 do
-              wk := !wk + 4;
-              let key = outer_key_data ob.data.((i * ob.width) + outer_key_slot) in
-              if key <> null then begin
-                let matches = Storage.Index.lookup index key in
-                wk := !wk + Array.length matches;
-                Array.iter
-                  (fun inner_row ->
-                    if pred inner_row && filters_pass i inner_row then begin
-                      wbuf_reserve w width;
-                      Array.blit ob.data (i * ob.width) w.wbuf w.wlen ob.width;
-                      w.wbuf.(w.wlen + ob.width) <- inner_row;
-                      w.wlen <- w.wlen + width;
-                      incr emitted;
-                      incr wk
-                    end)
-                  matches
-              end
-            done;
-            m_cnt.(m) <- !emitted;
-            let t = Morsel.add phase_work !wk in
-            if base + t > limit then raise Timeout;
-            if !emitted > 0 then begin
-              let r = Morsel.add phase_rows !emitted in
-              if r > row_limit then raise Timeout
-            end);
-        assemble out ~morsels ~m_src ~m_off ~m_cnt;
-        pool_release m_src;
-        pool_release m_off;
-        pool_release m_cnt
-    | None ->
-        for i = 0 to ob.nrows - 1 do
-          spend 4; (* index descent: random access *)
-          let key = outer_key_data ob.data.((i * ob.width) + outer_key_slot) in
-          if key <> null then begin
-            let matches = Storage.Index.lookup index key in
-            spend (Array.length matches);
-            Array.iter
-              (fun inner_row ->
-                if pred inner_row && filters_pass i inner_row then begin
-                  batch_reserve out 1;
-                  let base = out.nrows * out.width in
-                  Array.blit ob.data (i * ob.width) out.data base ob.width;
-                  out.data.(base + ob.width) <- inner_row;
-                  out.nrows <- out.nrows + 1;
-                  check_rows out;
-                  spend 1
-                end)
-              matches
-          end
-        done);
+    (* Index lookups are read-only (the database's index cache is a
+       copy-on-write snapshot) and the compiled predicate's only mutable
+       state is validated-before-use reader caches, so the probe side
+       parallelizes like a hash probe. *)
+    let probe =
+      {
+        Kernel.ix_outer = ob;
+        key_slot = outer_key_slot;
+        key_reader = outer_key_data;
+        index;
+        pred;
+        fslots = f_oslots;
+        freaders = f_odatas;
+        finner = f_idatas;
+      }
+    in
+    run_into out ob.nrows (fun _w ~wbase ~rcap ~sink ~grow lo hi ->
+        Kernel.index_probe probe ~limit ~wbase ~rcap ~sink ~grow lo hi);
     retire ob;
     out
   in
@@ -878,6 +762,12 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
     }
   in
   let t_exec = Obs.Trace.start () in
+  let give_back () =
+    if Util.Once.is_val workers then
+      Array.iter (fun w -> Reserve.give w.wout.data) (Util.Once.force workers);
+    List.iter Reserve.give !owned
+  in
+  Fun.protect ~finally:give_back @@ fun () ->
   match finish (eval plan) with
   | r ->
       Obs.Trace.span ph_exec ~t0:t_exec ~a:r.rows ~b:r.work;

@@ -195,15 +195,19 @@ let seal t =
     (float_of_int (1000 * t.count / Array.length t.buckets));
   !work
 
-let probe t ~hash ~f =
-  (* Chain entries are hash comparisons on consecutive memory — charge a
-     quarter of a tuple's work each, matching the relative CPU weights of
-     the cost models. *)
-  let chain = ref 0 in
-  let i = ref t.buckets.(hash land t.mask) in
-  while !i >= 0 do
-    incr chain;
-    if t.hashes.(!i) = hash then f t.payloads.(!i);
-    i := t.next.(!i)
-  done;
-  1 + (!chain / 4)
+type view = {
+  buckets : int array;
+  mask : int;
+  next : int array;
+  hashes : int array;
+  payloads : int array;
+}
+
+let view (t : t) =
+  {
+    buckets = t.buckets;
+    mask = t.mask;
+    next = t.next;
+    hashes = t.hashes;
+    payloads = t.payloads;
+  }

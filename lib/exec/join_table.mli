@@ -70,10 +70,25 @@ type load_stats = {
 val load_stats : unit -> load_stats
 val reset_load_stats : unit -> unit
 
-val probe : t -> hash:int -> f:(int -> unit) -> int
-(** Visit the payloads of every entry in the hash's chain (callers
-    re-check real key equality); returns the work units spent
-    (1 + chain length). *)
+(** {1 Probing} *)
+
+type view = {
+  buckets : int array;  (** head entry of each bucket's chain, -1 = empty *)
+  mask : int;  (** bucket of hash [h] is [h land mask] *)
+  next : int array;  (** next entry in the chain, -1 = end *)
+  hashes : int array;  (** entry -> full hash (chains mix hashes) *)
+  payloads : int array;  (** entry -> payload *)
+}
+(** The chains of a table, for closure-free probe loops. A probe of
+    hash [h] walks [e = buckets.(h land mask)], [next.(e)], ... while
+    [e >= 0], visits [payloads.(e)] where [hashes.(e) = h] (callers
+    re-check real key equality), and charges [1 + chain/4] work units
+    for a chain of [chain] entries — {!Kernel.hash_probe} is that loop.
+    Read-only: the arrays are the table's own. *)
+
+val view : t -> view
+(** The current chains; take it after {!seal} (or after the last
+    {!insert}), since building may replace the arrays. *)
 
 val mix : int -> int
 (** Finalizer-style integer hash (SplitMix64 mixing), used to build entry

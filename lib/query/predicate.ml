@@ -90,15 +90,30 @@ let rec compile_atom table atom =
             let v = d row in
             v <> null && bitmap.(v) <> negated)
   | Or atoms ->
-      let fns = List.map (compile_atom table) atoms in
-      fun row -> List.exists (fun f -> f row) fns
+      let fns = Array.of_list (List.map (compile_atom table) atoms) in
+      let n = Array.length fns in
+      fun row ->
+        let k = ref 0 in
+        while !k < n && not ((Array.unsafe_get fns !k) row) do
+          incr k
+        done;
+        !k < n
 
+(* Conjunctions loop over an array of atom closures: a [List.for_all]
+   here would allocate its [fun f -> f row] closure on every row. *)
 let compile table preds =
-  let fns = List.map (compile_atom table) preds in
-  match fns with
+  match List.map (compile_atom table) preds with
   | [] -> fun _ -> true
   | [ f ] -> f
-  | fns -> fun row -> List.for_all (fun f -> f row) fns
+  | fns ->
+      let fns = Array.of_list fns in
+      let n = Array.length fns in
+      fun row ->
+        let k = ref 0 in
+        while !k < n && (Array.unsafe_get fns !k) row do
+          incr k
+        done;
+        !k = n
 
 (* ------------------------------------------------------------------ *)
 (* Selection vectors                                                   *)

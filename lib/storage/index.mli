@@ -13,8 +13,10 @@ val table_name : t -> string
 val column : t -> int
 
 val lookup : t -> int -> int array
-(** Row ids whose key equals the given code; empty array if none. The
-    returned array is shared — callers must not mutate it. *)
+(** Row ids whose key equals the given code, ascending; empty array if
+    none. The returned array is shared — callers must not mutate it.
+    Allocates nothing (the executor's index-NL probe calls it per outer
+    row). *)
 
 val count : t -> int -> int
 (** Number of matching rows, without materializing them. *)

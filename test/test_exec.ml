@@ -7,6 +7,20 @@ module QG = Query.Query_graph
 
 (* --- Join_table ------------------------------------------------------------ *)
 
+(* The closure form of a chain walk, kept as the oracle for
+   [Exec.Kernel.hash_probe]: visit the payload of every entry in the
+   hash's chain whose full hash matches; return 1 + chain/4 work. *)
+let probe_oracle jt ~hash ~f =
+  let v = Exec.Join_table.view jt in
+  let chain = ref 0 in
+  let i = ref v.Exec.Join_table.buckets.(hash land v.Exec.Join_table.mask) in
+  while !i >= 0 do
+    incr chain;
+    if v.Exec.Join_table.hashes.(!i) = hash then f v.Exec.Join_table.payloads.(!i);
+    i := v.Exec.Join_table.next.(!i)
+  done;
+  1 + (!chain / 4)
+
 let test_join_table_basics () =
   let jt = Exec.Join_table.create ~estimated_rows:100.0 ~resizable:false () in
   let h1 = Exec.Join_table.mix 42 and h2 = Exec.Join_table.mix 43 in
@@ -14,7 +28,7 @@ let test_join_table_basics () =
   ignore (Exec.Join_table.insert jt ~hash:h1 ~payload:2);
   ignore (Exec.Join_table.insert jt ~hash:h2 ~payload:3);
   let found = ref [] in
-  ignore (Exec.Join_table.probe jt ~hash:h1 ~f:(fun p -> found := p :: !found));
+  ignore (probe_oracle jt ~hash:h1 ~f:(fun p -> found := p :: !found));
   Alcotest.(check (list int)) "both payloads" [ 1; 2 ] (List.sort compare !found);
   Alcotest.(check int) "entries" 3 (Exec.Join_table.entry_count jt)
 
@@ -29,7 +43,7 @@ let test_join_table_undersized_chains () =
   Alcotest.(check int) "floored bucket array" 1024 (Exec.Join_table.bucket_count jt);
   (* 64k entries over 1024 buckets: ~64-entry chains, charged at a
      quarter tuple each. *)
-  let work = Exec.Join_table.probe jt ~hash:(Exec.Join_table.mix 7) ~f:(fun _ -> ()) in
+  let work = probe_oracle jt ~hash:(Exec.Join_table.mix 7) ~f:(fun _ -> ()) in
   Alcotest.(check bool)
     (Printf.sprintf "long chain (%d)" work)
     true (work > 10)
@@ -40,7 +54,7 @@ let test_join_table_resizing () =
     ignore (Exec.Join_table.insert jt ~hash:(Exec.Join_table.mix i) ~payload:i)
   done;
   Alcotest.(check bool) "grew" true (Exec.Join_table.bucket_count jt >= 65536);
-  let work = Exec.Join_table.probe jt ~hash:(Exec.Join_table.mix 7) ~f:(fun _ -> ()) in
+  let work = probe_oracle jt ~hash:(Exec.Join_table.mix 7) ~f:(fun _ -> ()) in
   Alcotest.(check bool) "short chain" true (work < 10)
 
 let join_table_finds_all =
@@ -61,11 +75,106 @@ let join_table_finds_all =
         (fun probe ->
           let found = ref 0 in
           ignore
-            (Exec.Join_table.probe jt ~hash:(Exec.Join_table.mix probe)
+            (probe_oracle jt ~hash:(Exec.Join_table.mix probe)
                ~f:(fun p -> if keys.(p) = probe then incr found));
           let expected = Array.fold_left (fun a k -> if k = probe then a + 1 else a) 0 keys in
           !found = expected)
         [ 0; 7; 49 ])
+
+let null = Storage.Value.null_code
+
+let kbatch width rows =
+  {
+    Exec.Kernel.rels = [||];
+    slots = [||];
+    width;
+    data = Array.concat (Array.to_list rows);
+    nrows = Array.length rows;
+  }
+
+let kgrow (b : Exec.Kernel.batch) extra =
+  let needed = (b.Exec.Kernel.nrows + extra) * b.Exec.Kernel.width in
+  if needed > Array.length b.Exec.Kernel.data then begin
+    let bigger = Array.make (2 * needed) 0 in
+    Array.blit b.Exec.Kernel.data 0 bigger 0 (Array.length b.Exec.Kernel.data);
+    b.Exec.Kernel.data <- bigger
+  end
+
+(* The executor's hash-probe kernel against the closure oracle, over
+   random fixed and resizable tables with composite keys, NULLs, hash
+   chains of every length (a 16-bucket floor under random estimates),
+   and outer ranges split the way morsels split them: it must emit
+   exactly the oracle's key-equal payloads, in chain order, and charge
+   exactly 1 + chain/4 per probed row, 1 per NULL key and 2 per emitted
+   row (chain charges only when [charge]). *)
+let kernel_matches_oracle =
+  Support.qcheck_case ~count:100
+    ~name:"hash-probe kernel = closure oracle (payload order and work)"
+    QCheck.(pair small_int bool)
+    (fun (seed, charge) ->
+      let prng = Util.Prng.create seed in
+      let keyspace = 1 + Util.Prng.int prng 30 in
+      let code () =
+        if Util.Prng.int prng 12 = 0 then null else Util.Prng.int prng keyspace
+      in
+      (* Rows are [| key1; key2; tag |]; both key columns join. *)
+      let rows n = Array.init n (fun t -> [| code (); Util.Prng.int prng 3; t |]) in
+      let outer = kbatch 3 (rows (Util.Prng.int prng 300)) in
+      let inner = kbatch 3 (rows (Util.Prng.int prng 300)) in
+      let slots = [| 0; 1 |] and readers = [| (fun v -> v); (fun v -> v) |] in
+      let jt =
+        Exec.Join_table.create ~bucket_floor:16
+          ~estimated_rows:(float_of_int (1 + Util.Prng.int prng 400))
+          ~actual_rows:inner.Exec.Kernel.nrows
+          ~resizable:(Util.Prng.bool prng) ()
+      in
+      for j = 0 to inner.Exec.Kernel.nrows - 1 do
+        let h = Exec.Kernel.tuple_key inner slots readers j in
+        if h <> Exec.Kernel.null_key then Exec.Join_table.append jt ~hash:h ~payload:j
+      done;
+      ignore (Exec.Join_table.seal jt);
+      let n = outer.Exec.Kernel.nrows in
+      let row (b : Exec.Kernel.batch) i = Array.sub b.Exec.Kernel.data (i * 3) 3 in
+      (* Oracle: expected output rows and work. *)
+      let expected = ref [] and want_work = ref 0 in
+      for i = 0 to n - 1 do
+        let o = row outer i in
+        let h = Exec.Kernel.tuple_key outer slots readers i in
+        if h = Exec.Kernel.null_key then (if charge then incr want_work)
+        else begin
+          let w =
+            probe_oracle jt ~hash:h ~f:(fun j ->
+                let r = row inner j in
+                if o.(0) = r.(0) && o.(1) = r.(1) then begin
+                  expected := Array.append o r :: !expected;
+                  want_work := !want_work + 2
+                end)
+          in
+          if charge then want_work := !want_work + w
+        end
+      done;
+      let probe =
+        {
+          Exec.Kernel.table = Exec.Join_table.view jt;
+          outer;
+          oslots = slots;
+          oreaders = readers;
+          inner;
+          islots = slots;
+          ireaders = readers;
+          charge;
+        }
+      in
+      let sink = kbatch 6 [||] in
+      let mid = if n = 0 then 0 else Util.Prng.int prng (n + 1) in
+      let run lo hi =
+        Exec.Kernel.hash_probe probe ~limit:max_int ~wbase:0 ~rcap:max_int ~sink
+          ~grow:kgrow lo hi
+      in
+      let w1 = run 0 mid in
+      let got_work = w1 + run mid n in
+      let got = List.init sink.Exec.Kernel.nrows (fun r -> Array.sub sink.Exec.Kernel.data (r * 6) 6) in
+      got = List.rev !expected && got_work = !want_work)
 
 (* --- Executor ------------------------------------------------------------------ *)
 
@@ -316,12 +425,44 @@ let test_engine_configs () =
   Alcotest.(check bool) "robust resizes" true
     Exec.Engine_config.robust.Exec.Engine_config.resize_hash_tables
 
+(* The scratch reserve is shared by every domain, so an array it hands
+   out must have one holder until it is given back. Each slot takes an
+   array, stamps it, spins, and checks the stamp before giving it back:
+   a second holder would overwrite it. Request sizes vary, so best fit
+   and eviction both run. *)
+let test_reserve_exclusive () =
+  let domains = 4 and rounds = 2000 and stamp = 16 in
+  let clashes = Array.make domains 0 and short = Array.make domains 0 in
+  let pool = Util.Domain_pool.create ~domains in
+  Fun.protect
+    ~finally:(fun () -> Util.Domain_pool.shutdown pool)
+    (fun () ->
+      Util.Domain_pool.run_workers pool (fun slot ->
+          for i = 1 to rounds do
+            let n = 1024 + ((((i * 7) + slot) mod 5) * 1000) in
+            let a = Exec.Reserve.take n in
+            if Array.length a < n then short.(slot) <- short.(slot) + 1;
+            let mark = (i * domains) + slot in
+            Array.fill a 0 stamp mark;
+            for _ = 1 to 50 do
+              Domain.cpu_relax ()
+            done;
+            for k = 0 to stamp - 1 do
+              if a.(k) <> mark then clashes.(slot) <- clashes.(slot) + 1
+            done;
+            Exec.Reserve.give a
+          done));
+  Alcotest.(check int) "every array at least as long as asked" 0
+    (Array.fold_left ( + ) 0 short);
+  Alcotest.(check int) "no array held twice" 0 (Array.fold_left ( + ) 0 clashes)
+
 let suite =
   [
     Alcotest.test_case "join table basics" `Quick test_join_table_basics;
     Alcotest.test_case "undersized chains" `Quick test_join_table_undersized_chains;
     Alcotest.test_case "resizing" `Quick test_join_table_resizing;
     join_table_finds_all;
+    kernel_matches_oracle;
     all_plans_agree;
     merge_join_agrees_with_hash;
     Alcotest.test_case "merge join slower in memory" `Quick
@@ -335,4 +476,6 @@ let suite =
     Alcotest.test_case "undersized hash penalty" `Quick
       test_undersized_hash_table_penalty;
     Alcotest.test_case "engine configs" `Quick test_engine_configs;
+    Alcotest.test_case "reserve hands each array to one holder" `Quick
+      test_reserve_exclusive;
   ]

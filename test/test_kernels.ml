@@ -349,6 +349,60 @@ let test_group_table_migration () =
   Alcotest.(check (float 0.0)) "wide value found" 2.0 (GT.find_scratch u)
 
 
+(* Allocation guard for the executor's probe kernels: a probe-heavy
+   golden query, run through [Executor.run] serially and on a 2-domain
+   morsel pool (every phase forced parallel), must allocate less than
+   [probe_alloc_bound] minor words per work unit. Minor words are read
+   from [Gc.quick_stat] after a forced minor collection, which samples
+   every domain's counters, so the pool's worker is counted too. A
+   per-row closure, option or boxed tuple in a probe loop costs at least
+   one word per probed row — an order of magnitude over the bound. *)
+let probe_alloc_query = "16a"
+
+(* Measured 0.013 serial and 0.018-0.020 at exec-jobs 2 (scale 0.0004,
+   seed 5), with 2x headroom. Closure-based probe loops measure 4.7-5.0. *)
+let probe_alloc_bound = 0.04
+
+let minor_words_all_domains () =
+  Gc.minor ();
+  (Gc.quick_stat ()).Gc.minor_words
+
+let test_probe_allocation () =
+  let h = Lazy.force harness in
+  let q = Harness.find h probe_alloc_query in
+  let est = Harness.estimator h q "PostgreSQL" in
+  let plan, _ = Harness.plan_with h q ~est ~model:Cost.Cost_model.cmm () in
+  let engine =
+    { Exec.Engine_config.robust with name = "alloc test"; morsel_min_rows = 0 }
+  in
+  let words_per_unit pool =
+    let run () =
+      Exec.Executor.run ~db:h.Harness.db ~graph:q.Harness.graph ~config:engine
+        ~size_est:est.Cardest.Estimator.subset ?pool
+        ~projections:q.Harness.projections plan
+    in
+    (* Warm-up: index builds and other first-touch state. *)
+    ignore (run ());
+    let w0 = minor_words_all_domains () in
+    let r = run () in
+    let words = minor_words_all_domains () -. w0 in
+    words /. float_of_int r.Exec.Executor.work
+  in
+  let pool = Util.Domain_pool.create ~domains:2 in
+  let serial, morsel =
+    Fun.protect
+      ~finally:(fun () -> Util.Domain_pool.shutdown pool)
+      (fun () -> (words_per_unit None, words_per_unit (Some pool)))
+  in
+  List.iter
+    (fun (label, v) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s %s: %.4f minor words per work unit < %.2f"
+           probe_alloc_query label v probe_alloc_bound)
+        true
+        (v < probe_alloc_bound))
+    [ ("serial", serial); ("exec-jobs 2", morsel) ]
+
 (* Every physical encoding, forced across the whole catalog, must leave
    all 113 query results byte-identical to the flat reference layout:
    same rows, same deterministic work (identical plans), same MINs. The
@@ -401,4 +455,6 @@ let suite =
       test_golden_workload;
     Alcotest.test_case "full workload byte-identical under every encoding" `Slow
       test_encoding_workload;
+    Alcotest.test_case "probe kernels allocate nothing per row" `Quick
+      test_probe_allocation;
   ]
