@@ -354,20 +354,6 @@ let bench_truecard_kernel (h : Experiments.Harness.t) =
 (* ------------------------------------------------------------------ *)
 (* The wall-clock baseline: serial vs parallel, as JSON                 *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let write_bench_json ~path ~jobs ~scale ~seed ~repeats rows =
   let oc = open_out path in
   (* [cores] records the host's parallelism so a downstream reader can
@@ -384,7 +370,7 @@ let write_bench_json ~path ~jobs ~scale ~seed ~repeats rows =
       Printf.fprintf oc
         "    {\"id\": \"%s\", \"serial_ms\": %.3f, \"parallel_ms\": %.3f, \
          \"speedup\": %.3f, \"cores\": %d, \"regression\": %b}%s\n"
-        (json_escape id) serial_ms parallel_ms speedup cores (speedup <= 1.0)
+        (Util.Json.escape id) serial_ms parallel_ms speedup cores (speedup <= 1.0)
         (if i = List.length rows - 1 then "" else ",")
     )
     rows;
@@ -408,7 +394,7 @@ let write_reopt_json ~path ~scale ~seed ~threshold
         "    {\"system\": \"%s\", \"replans\": %d, \"queries_replanned\": \
          %d, \"off_total_ms\": %.3f, \"on_total_ms\": %.3f, \"speedup\": \
          %.3f, \"comparable\": %d}%s\n"
-        (json_escape s.Experiments.Exp_reopt.system)
+        (Util.Json.escape s.Experiments.Exp_reopt.system)
         s.Experiments.Exp_reopt.replans
         s.Experiments.Exp_reopt.replanned_queries
         s.Experiments.Exp_reopt.off_ms s.Experiments.Exp_reopt.on_ms
@@ -433,7 +419,7 @@ let write_exec_json ~path ~scale ~seed rows =
          \"reference_alloc_bytes_per_run\": %.0f, \
          \"new_alloc_bytes_per_run\": %.0f, \"alloc_reduction\": %.3f, \
          \"work_units\": %d}%s\n"
-        (json_escape r.kernel) r.reference_ms r.new_ms
+        (Util.Json.escape r.kernel) r.reference_ms r.new_ms
         (r.reference_ms /. Float.max 1e-9 r.new_ms)
         r.reference_alloc r.new_alloc
         (r.reference_alloc /. Float.max 1.0 r.new_alloc)

@@ -58,11 +58,35 @@ let query_arg =
   let doc = "Benchmark query name (e.g. 13d) or a file containing SQL." in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"QUERY" ~doc)
 
-let parse_indexes s = Core.Registry.(find_exn index_configs) s
+(* Bad user input (an unknown query, file or component name) ends the
+   command with one line on stderr and exit code 2; see the entry point.
+   Names are resolved before any data is generated. *)
+exception Bad_input of string
 
-let parse_enumerator s = Core.Registry.(find_exn enumerators) s
+let resolve registry name =
+  match Core.Registry.find registry name with
+  | Ok v -> v
+  | Error e -> raise (Bad_input (Core.Registry.error_to_string e))
 
-let parse_engine s = Core.Registry.(find_exn engines) s
+let parse_indexes s = resolve Core.Registry.index_configs s
+
+let parse_enumerator s = resolve Core.Registry.enumerators s
+
+let parse_engine s = resolve Core.Registry.engines s
+
+let parse_model s = resolve Core.Registry.cost_models s
+
+(* Estimators travel by name into the pipeline, which builds them only
+   when it plans. *)
+let check_estimator s =
+  let _build : Core.Registry.estimator_ctx -> Cardest.Estimator.t =
+    resolve Core.Registry.estimators s
+  in
+  ()
+
+let check_components ~estimator ~model =
+  check_estimator estimator;
+  ignore (parse_model model : Cost.Cost_model.t)
 
 let exec_jobs_arg =
   let doc =
@@ -85,24 +109,25 @@ let data_arg =
   Arg.(value & opt (some string) None & info [ "data" ] ~docv:"DIR" ~doc)
 
 let session ?data ~seed ~scale ~indexes () =
+  let design = parse_indexes indexes in
   let s =
     match data with
     | Some dir -> Core.Session.of_database (Datagen.Imdb_schema.load ~dir)
     | None -> Core.Session.create ~seed ~scale ()
   in
-  Core.Session.set_physical_design s (parse_indexes indexes);
+  Core.Session.set_physical_design s design;
   s
 
-let load_query s name =
+(* A query argument as (name, SQL text): a benchmark query or a file. *)
+let query_source name =
   match Workload.Job.find name with
-  | q -> Core.Session.sql s ~name (q.Workload.Job.sql)
+  | q -> (name, q.Workload.Job.sql)
   | exception Not_found ->
       if Sys.file_exists name then
-        let ic = open_in name in
-        let text = really_input_string ic (in_channel_length ic) in
-        close_in ic;
-        Core.Session.sql s ~name:(Filename.basename name) text
-      else failwith (Printf.sprintf "no such benchmark query or file: %s" name)
+        (Filename.basename name, In_channel.with_open_text name In_channel.input_all)
+      else raise (Bad_input ("no such benchmark query or file: " ^ name))
+
+let load_query s (name, sql) = Core.Session.sql s ~name sql
 
 (* --- list ----------------------------------------------------------- *)
 
@@ -126,8 +151,9 @@ let list_cmd =
 
 let show_cmd =
   let run scale seed data name =
+    let source = query_source name in
     let s = session ?data ~seed ~scale ~indexes:"pk" () in
-    let q = load_query s name in
+    let q = load_query s source in
     Printf.printf "%s\n\n" q.Core.Session.sql;
     Format.printf "%a" Query.Query_graph.pp q.Core.Session.graph
   in
@@ -142,12 +168,14 @@ let dot_arg =
 
 let plan_cmd =
   let run scale seed data indexes estimator model enumerator dot name =
+    let source = query_source name in
+    check_components ~estimator ~model;
+    let enumerator = parse_enumerator enumerator in
     let s = session ?data ~seed ~scale ~indexes () in
-    let q = load_query s name in
+    let q = load_query s source in
     ignore (Core.Session.true_cardinalities s q);
     let choice =
-      Core.Session.optimize s ~estimator ~cost_model:model
-        ~enumerator:(parse_enumerator enumerator) q
+      Core.Session.optimize s ~estimator ~cost_model:model ~enumerator q
     in
     if dot then print_string (Core.Session.plan_dot s q choice)
     else print_string (Core.Session.explain s q choice)
@@ -193,6 +221,10 @@ let with_trace trace f =
 let run_cmd =
   let run scale seed data indexes estimator model enumerator engine exec_jobs
       trace name =
+    let source = query_source name in
+    check_components ~estimator ~model;
+    let enumerator = parse_enumerator enumerator in
+    let engine = parse_engine engine in
     let exec_jobs = resolve_exec_jobs exec_jobs in
     if exec_jobs > 1 then Util.Domain_pool.tune_gc ();
     let pool =
@@ -205,12 +237,10 @@ let run_cmd =
       (fun () ->
         with_trace trace (fun () ->
             let s = session ?data ~seed ~scale ~indexes () in
-            let q = load_query s name in
+            let q = load_query s source in
             let choice =
-              Core.Session.optimize s ~estimator ~cost_model:model
-                ~enumerator:(parse_enumerator enumerator) q
+              Core.Session.optimize s ~estimator ~cost_model:model ~enumerator q
             in
-            let engine = parse_engine engine in
             print_string (Core.Session.explain_analyze s ~engine ?pool q choice);
             let result = Core.Session.run s ~engine ?pool q choice in
             List.iter
@@ -233,6 +263,10 @@ let trace_cmd =
   in
   let run scale seed data indexes estimator model enumerator engine exec_jobs
       out name =
+    let source = query_source name in
+    check_components ~estimator ~model;
+    let enumerator = parse_enumerator enumerator in
+    let engine = parse_engine engine in
     let exec_jobs = resolve_exec_jobs exec_jobs in
     if exec_jobs > 1 then Util.Domain_pool.tune_gc ();
     let pool =
@@ -252,14 +286,11 @@ let trace_cmd =
         Obs.Trace.set_enabled true;
         Obs.Trace.clear ();
         let t0 = Obs.Trace.now_ns () in
-        let q = load_query s name in
+        let q = load_query s source in
         let choice =
-          Core.Session.optimize s ~estimator ~cost_model:model
-            ~enumerator:(parse_enumerator enumerator) q
+          Core.Session.optimize s ~estimator ~cost_model:model ~enumerator q
         in
-        let result =
-          Core.Session.run s ~engine:(parse_engine engine) ?pool q choice
-        in
+        let result = Core.Session.run s ~engine ?pool q choice in
         let wall_ms = float_of_int (Obs.Trace.now_ns () - t0) /. 1e6 in
         Obs.Trace.set_enabled false;
         let spans, dropped = Obs.Trace.flush () in
@@ -359,8 +390,9 @@ let stats_cmd =
 
 let estimate_cmd =
   let run scale seed data indexes name =
+    let source = query_source name in
     let s = session ?data ~seed ~scale ~indexes () in
-    let q = load_query s name in
+    let q = load_query s source in
     let truth = Core.Session.true_cardinalities s q in
     let full = Query.Query_graph.full_set q.Core.Session.graph in
     let exact = Cardest.True_card.card truth full in
@@ -410,11 +442,11 @@ let verify_cmd =
   in
   let run scale seed data indexes queries enumerators estimators models =
     let split s = String.split_on_char ',' s |> List.map String.trim in
-    let s = session ?data ~seed ~scale ~indexes () in
-    let names =
+    let sources =
       if String.equal queries "all" then
-        List.map (fun q -> q.Workload.Job.name) Workload.Job.all
-      else split queries
+        List.map (fun q -> (q.Workload.Job.name, q.Workload.Job.sql))
+          Workload.Job.all
+      else List.map query_source (split queries)
     in
     let enumerators =
       List.map
@@ -425,17 +457,19 @@ let verify_cmd =
       if String.equal estimators "all" then Cardest.Systems.names
       else split estimators
     in
+    List.iter check_estimator estimator_names;
     let models =
       if String.equal models "all" then
         List.map (fun e -> e.Core.Registry.value)
           (Core.Registry.entries Core.Registry.cost_models)
       else
-        List.map Core.Registry.(find_exn cost_models) (split models)
+        List.map parse_model (split models)
     in
+    let s = session ?data ~seed ~scale ~indexes () in
     let total = ref Verify.Violation.empty in
     List.iter
-      (fun name ->
-        let q = load_query s name in
+      (fun ((name, _) as source) ->
+        let q = load_query s source in
         let estimators =
           List.map (Core.Session.estimator s q) estimator_names
         in
@@ -456,12 +490,12 @@ let verify_cmd =
             (fun v -> Printf.printf "     %s\n" (Verify.Violation.to_string v))
             report.Verify.Violation.violations
         end)
-      names;
+      sources;
     let violations = List.length !total.Verify.Violation.violations in
     Printf.printf
       "verify: %d queries, %d enumerators x %d estimators x %d cost models, \
        %d checks, %d violations\n"
-      (List.length names) (List.length enumerators)
+      (List.length sources) (List.length enumerators)
       (List.length estimator_names) (List.length models)
       !total.Verify.Violation.checks violations;
     if violations > 0 then exit 1
@@ -557,7 +591,7 @@ let experiment_cmd =
         with_trace trace @@ fun () ->
         let selected =
           if String.equal id "all" then Experiments.Catalog.all
-          else [ Experiments.Catalog.find_exn id ]
+          else [ resolve Experiments.Catalog.registry id ]
         in
         List.iter
           (fun (e : Experiments.Catalog.entry) ->
@@ -660,6 +694,7 @@ let serve_cmd =
   in
   let run scale seed data indexes estimator model engine_name clients duration
       theta think cache_mb inflight budget jobs exec_jobs json stats trace =
+    check_components ~estimator ~model;
     Util.Domain_pool.tune_gc ();
     let jobs =
       if jobs < 0 then invalid_arg "jobench serve: --jobs must be >= 0"
@@ -906,9 +941,21 @@ let lint_cmd =
 let () =
   let doc = "Join Order Benchmark reproduction toolkit" in
   let info = Cmd.info "jobench" ~version:"1.0.0" ~doc in
+  let main =
+    Cmd.group info
+      [ list_cmd; show_cmd; plan_cmd; run_cmd; trace_cmd; generate_cmd;
+        stats_cmd; estimate_cmd; verify_cmd; experiment_cmd; serve_cmd;
+        lint_cmd ]
+  in
+  (* Cmdliner's own handler would report [Bad_input] as an internal
+     error (exit 125), so exceptions are caught here instead. *)
   exit
-    (Cmd.eval
-       (Cmd.group info
-          [ list_cmd; show_cmd; plan_cmd; run_cmd; trace_cmd; generate_cmd;
-            stats_cmd; estimate_cmd; verify_cmd; experiment_cmd; serve_cmd;
-            lint_cmd ]))
+    (match Cmd.eval ~catch:false main with
+    | code -> code
+    | exception Bad_input msg ->
+        prerr_endline ("jobench: " ^ msg);
+        2
+    | exception e ->
+        Printf.eprintf "jobench: internal error, uncaught exception:\n%s\n%!"
+          (Printexc.to_string e);
+        Cmd.Exit.internal_error)

@@ -39,7 +39,10 @@ module Classes = struct
      Using in-subset edges (not the whole query's transitive closure)
      matches the semantics of the executor and the enumerator: a
      subexpression applies exactly the join predicates whose both sides
-     it contains. *)
+     it contains. A class keeps the first column of each relation it
+     meets; when a cycle puts a second column of the same relation in
+     it, the pair (first, second) goes into that relation's entry of
+     the second result, since the subset then implies their equality. *)
   let build_subset graph s =
     let uf = { parents = Hashtbl.create 16 } in
     let in_subset (e : QG.edge) =
@@ -66,21 +69,25 @@ module Classes = struct
           id
     in
     let n = QG.n_relations graph in
-    let pairs = Array.make n [] in
+    let pairs = Array.make n [] and same = Array.make n [] in
     List.iter
       (fun (e : QG.edge) ->
         List.iter
           (fun (r, col) ->
             let c = class_id (r, col) in
-            if not (List.mem_assoc c pairs.(r)) then
-              pairs.(r) <- (c, col) :: pairs.(r))
+            match List.assoc_opt c pairs.(r) with
+            | None -> pairs.(r) <- (c, col) :: pairs.(r)
+            | Some first ->
+                if first <> col && not (List.mem (first, col) same.(r)) then
+                  same.(r) <- (first, col) :: same.(r))
           [ (e.QG.left, e.QG.left_col); (e.QG.right, e.QG.right_col) ])
       edges;
-    Array.map
-      (fun ps ->
-        let ps = List.sort compare ps in
-        (Array.of_list (List.map fst ps), Array.of_list (List.map snd ps)))
-      pairs
+    ( Array.map
+        (fun ps ->
+          let ps = List.sort compare ps in
+          (Array.of_list (List.map fst ps), Array.of_list (List.map snd ps)))
+        pairs,
+      Array.map (fun l -> Array.of_list (List.sort compare l)) same )
 end
 
 let array_mem x a = Array.exists (fun y -> y = x) a
@@ -111,17 +118,29 @@ let extract src id pos dst =
     dst.(f) <- GT.component src id pos.(f)
   done
 
-let project c ~onto =
-  if onto = c.classes then c
-  else begin
-    let pos = positions ~from:c.classes ~wanted:onto in
-    let groups = GT.create ~arity:(Array.length onto) ~expected:(GT.groups c.groups) () in
-    let dst = GT.scratch groups in
-    GT.iter c.groups (fun id count ->
-        extract c.groups id pos dst;
-        GT.add_scratch groups count);
-    { classes = onto; groups }
-  end
+(* Groups of [c] summed onto the classes [onto], in first-occurrence
+   order. Groups with a NULL in a projected field are dropped: every
+   projected field is a join key, and NULL equals nothing. So are groups
+   whose classes differ on any pair in [same]. *)
+let project ?(same = [||]) c ~onto =
+  let pos = positions ~from:c.classes ~wanted:onto in
+  let sx = positions ~from:c.classes ~wanted:(Array.map fst same) in
+  let sy = positions ~from:c.classes ~wanted:(Array.map snd same) in
+  let groups = GT.create ~arity:(Array.length onto) ~expected:(GT.groups c.groups) () in
+  let dst = GT.scratch groups in
+  let arity = Array.length onto in
+  let rec non_null f =
+    f >= arity || (dst.(f) <> Storage.Value.null_code && non_null (f + 1))
+  in
+  let rec agree id k =
+    k >= Array.length sx
+    || GT.component c.groups id sx.(k) = GT.component c.groups id sy.(k)
+       && agree id (k + 1)
+  in
+  GT.iter c.groups (fun id count ->
+      extract c.groups id pos dst;
+      if non_null 0 && agree id 0 then GT.add_scratch groups count);
+  { classes = onto; groups }
 
 let total c = GT.total c.groups
 
@@ -284,66 +303,85 @@ module Join_tree = struct
     !ok
 end
 
+(* Message memo, one per [compute] call. A message is a function of the
+   relation's projected groups, each child's (key positions, message) in
+   tree order, and the output key positions, so that tuple of ints is its
+   signature: equal signatures mean the same computation, float for
+   float, whatever subset it occurs in. Messages are numbered in creation
+   order so a parent's signature names its children's messages by id. *)
+module Signature_table = Hashtbl.Make (struct
+  type t = int array
+
+  let equal (a : t) b = a = b
+  let hash a = Array.fold_left (fun h x -> (h * 31) + x) 17 a land max_int
+end)
+
+type message = { msg_id : int; msg : GT.t }
+
 (* Yannakakis-style bottom-up counting over a join tree: linear in the
    sizes of the base groups, never materializing any joint distribution
-   wider than a single relation's own key. *)
-let count_acyclic rel_classes base_groups root =
+   wider than a single relation's own key. [proj_ids.(r)] names the
+   projection behind [local_groups.(r)] in message signatures. *)
+let count_acyclic messages rel_classes local_groups proj_ids root =
   (* Multiplicity of group [id] of [g] after multiplying in every child
      subtree's message; 0.0 as soon as any child has no partners. *)
   let combined_weight g child_info id count =
     let w = ref count in
     List.iter
-      (fun (pos, msg) ->
+      (fun (pos, m) ->
         if !w > 0.0 then begin
-          extract g id pos (GT.scratch msg);
-          w := !w *. GT.find_scratch msg
+          extract g id pos (GT.scratch m.msg);
+          w := !w *. GT.find_scratch m.msg
         end)
       child_info;
     !w
   in
-  (* Message from the subtree rooted at [n], keyed by the classes shared
-     with its parent [p]. *)
-  let rec message (n : Join_tree.node) ~parent:p =
-    let g = base_groups.(n.Join_tree.rel).groups in
-    let classes = base_groups.(n.Join_tree.rel).classes in
-    let child_info =
-      List.map
-        (fun (c : Join_tree.node) ->
-          let shared =
-            Join_tree.shared_classes rel_classes n.Join_tree.rel c.Join_tree.rel
-          in
-          let msg = message c ~parent:n.Join_tree.rel in
-          (positions ~from:classes ~wanted:shared, msg))
-        n.Join_tree.children
-    in
-    let out_pos =
-      positions ~from:classes
-        ~wanted:(Join_tree.shared_classes rel_classes n.Join_tree.rel p)
-    in
-    let out = GT.create ~arity:(Array.length out_pos) ~expected:256 () in
-    GT.iter g (fun id count ->
-        let w = combined_weight g child_info id count in
-        if w > 0.0 then begin
-          extract g id out_pos (GT.scratch out);
-          GT.add_scratch out w
-        end);
-    out
-  in
-  let g = base_groups.(root.Join_tree.rel).groups in
-  let classes = base_groups.(root.Join_tree.rel).classes in
-  let child_info =
+  (* Each child's key positions in [n]'s classes, with its message. *)
+  let rec child_info (n : Join_tree.node) =
+    let classes = local_groups.(n.Join_tree.rel).classes in
     List.map
       (fun (c : Join_tree.node) ->
         let shared =
-          Join_tree.shared_classes rel_classes root.Join_tree.rel c.Join_tree.rel
+          Join_tree.shared_classes rel_classes n.Join_tree.rel c.Join_tree.rel
         in
-        let msg = message c ~parent:root.Join_tree.rel in
-        (positions ~from:classes ~wanted:shared, msg))
-      root.Join_tree.children
+        (positions ~from:classes ~wanted:shared, message c ~parent:n.Join_tree.rel))
+      n.Join_tree.children
+  (* Message from the subtree rooted at [n], keyed by the classes shared
+     with its parent [p]. *)
+  and message (n : Join_tree.node) ~parent:p =
+    let rel = n.Join_tree.rel in
+    let info = child_info n in
+    let out_pos =
+      positions ~from:local_groups.(rel).classes
+        ~wanted:(Join_tree.shared_classes rel_classes rel p)
+    in
+    let signature =
+      Array.concat
+        ([| proj_ids.(rel); Array.length out_pos |]
+        :: out_pos
+        :: List.concat_map
+             (fun (pos, m) -> [ [| m.msg_id; Array.length pos |]; pos ])
+             info)
+    in
+    match Signature_table.find_opt messages signature with
+    | Some m -> m
+    | None ->
+        let g = local_groups.(rel).groups in
+        let out = GT.create ~arity:(Array.length out_pos) ~expected:256 () in
+        GT.iter g (fun id count ->
+            let w = combined_weight g info id count in
+            if w > 0.0 then begin
+              extract g id out_pos (GT.scratch out);
+              GT.add_scratch out w
+            end);
+        let m = { msg_id = Signature_table.length messages; msg = out } in
+        Signature_table.add messages signature m;
+        m
   in
+  let g = local_groups.(root.Join_tree.rel).groups in
+  let info = child_info root in
   let scalar = ref 0.0 in
-  GT.iter g (fun id count ->
-      scalar := !scalar +. combined_weight g child_info id count);
+  GT.iter g (fun id count -> scalar := !scalar +. combined_weight g info id count);
   !scalar
 
 (* Fallback for cyclic subsets (e.g. TPC-H Q5): left-deep pairwise joins
@@ -458,6 +496,13 @@ let empty_compressed =
 let compute graph =
   let n = QG.n_relations graph in
   let base_groups = Array.init n (base_compressed graph) in
+  (* Per-call caches shared by every subset: each member's projection by
+     (relation, projected columns), numbered in creation order, and the
+     Yannakakis messages by signature. *)
+  let projections = Hashtbl.create 64 in
+  let messages = Signature_table.create 1024 in
+  let local_groups = Array.make n empty_compressed in
+  let proj_ids = Array.make n (-1) in
   let subsets = QG.connected_subsets graph in
   let cards = Subset_table.create (Array.length subsets) in
   Array.iter
@@ -468,19 +513,31 @@ let compute graph =
         | [ r ] -> total base_groups.(r)
         | _ ->
             (* Classes from the edges inside this subset only. *)
-            let rel_classes = Classes.build_subset graph s in
+            let rel_classes, same = Classes.build_subset graph s in
             (* Localize base groups: project onto the columns this
                subset's edges mention and relabel them to class ids. *)
-            let local_groups = Array.make n empty_compressed in
             List.iter
               (fun r ->
                 let class_ids, wanted_cols = rel_classes.(r) in
-                let projected = project base_groups.(r) ~onto:wanted_cols in
-                local_groups.(r) <- { projected with classes = class_ids })
+                let key = (r, wanted_cols, same.(r)) in
+                let id, groups =
+                  match Hashtbl.find_opt projections key with
+                  | Some p -> p
+                  | None ->
+                      let p =
+                        ( Hashtbl.length projections,
+                          (project base_groups.(r) ~onto:wanted_cols ~same:same.(r))
+                            .groups )
+                      in
+                      Hashtbl.add projections key p;
+                      p
+                in
+                local_groups.(r) <- { classes = class_ids; groups };
+                proj_ids.(r) <- id)
               members;
             let root = Join_tree.build rel_classes members in
             if Join_tree.running_intersection rel_classes root then
-              count_acyclic rel_classes local_groups root
+              count_acyclic messages rel_classes local_groups proj_ids root
             else count_cyclic rel_classes local_groups members
       in
       Subset_table.add cards s card)

@@ -180,19 +180,6 @@ let pp_report fmt r =
     (fun v -> Format.fprintf fmt "  %s@." (Violation.to_string v))
     r.result.Violation.violations
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 32 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (* Machine-readable report for the CI artifact, same spirit as the
    BENCH_*.json files. *)
 let report_json ?(workload = []) r =
@@ -211,7 +198,7 @@ let report_json ?(workload = []) r =
         (Printf.sprintf
            "    {\"rule\": \"%s\", \"checks\": %d, \"violations\": %d, \
             \"suppressed\": %d}%s\n"
-           (json_escape s.rule) s.checks s.violations s.suppressed
+           (Util.Json.escape s.rule) s.checks s.violations s.suppressed
            (if i = List.length r.stats - 1 then "" else ",")))
     r.stats;
   Buffer.add_string b "  ],\n";
@@ -220,7 +207,7 @@ let report_json ?(workload = []) r =
     (fun i (a, bb, site) ->
       Buffer.add_string b
         (Printf.sprintf "    {\"from\": \"%s\", \"to\": \"%s\", \"site\": \"%s\"}%s\n"
-           (json_escape a) (json_escape bb) (json_escape site)
+           (Util.Json.escape a) (Util.Json.escape bb) (Util.Json.escape site)
            (if i = List.length r.lock_edges - 1 then "" else ",")))
     r.lock_edges;
   Buffer.add_string b "  ],\n";
@@ -231,7 +218,7 @@ let report_json ?(workload = []) r =
         (Printf.sprintf
            "    {\"label\": \"%s\", \"queries\": %d, \"checks\": %d, \
             \"violations\": %d}%s\n"
-           (json_escape label) queries res.Violation.checks
+           (Util.Json.escape label) queries res.Violation.checks
            (List.length res.Violation.violations)
            (if i = List.length workload - 1 then "" else ",")))
     workload;
@@ -243,9 +230,9 @@ let report_json ?(workload = []) r =
       Buffer.add_string b
         (Printf.sprintf
            "    {\"pass\": \"%s\", \"subject\": \"%s\", \"message\": \"%s\"}%s\n"
-           (json_escape v.Violation.pass)
-           (json_escape v.Violation.subject)
-           (json_escape v.Violation.message)
+           (Util.Json.escape v.Violation.pass)
+           (Util.Json.escape v.Violation.subject)
+           (Util.Json.escape v.Violation.message)
            (if i = List.length vs - 1 then "" else ",")))
     vs;
   Buffer.add_string b "  ]\n}\n";

@@ -4,20 +4,6 @@
    sorted by name, so the whole document is reproducible byte-for-byte
    given the same recorded data. *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 32 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 type phase_total = {
   pt_phase : string;
   pt_spans : int;
@@ -62,7 +48,7 @@ let metrics_json b dump =
   List.iteri
     (fun i (name, v) ->
       if i > 0 then Buffer.add_string b ", ";
-      Buffer.add_string b (Printf.sprintf "\"%s\": " (json_escape name));
+      Buffer.add_string b (Printf.sprintf "\"%s\": " (Util.Json.escape name));
       match v with
       | Metrics.Count n -> Buffer.add_string b (string_of_int n)
       | Metrics.Level f -> Buffer.add_string b (Printf.sprintf "%g" f)
@@ -89,7 +75,9 @@ let trace_json ?query ~wall_ms ~spans ~dropped () =
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\n  \"version\": 1,\n";
   (match query with
-  | Some q -> Buffer.add_string b (Printf.sprintf "  \"query\": \"%s\",\n" (json_escape q))
+  | Some q ->
+      Buffer.add_string b
+        (Printf.sprintf "  \"query\": \"%s\",\n" (Util.Json.escape q))
   | None -> ());
   Buffer.add_string b (Printf.sprintf "  \"wall_ms\": %.4f,\n" wall_ms);
   Buffer.add_string b (Printf.sprintf "  \"span_count\": %d,\n" (List.length spans));
@@ -102,7 +90,7 @@ let trace_json ?query ~wall_ms ~spans ~dropped () =
     (fun i pt ->
       Buffer.add_string b
         (Printf.sprintf "    {\"phase\": \"%s\", \"spans\": %d, \"total_ms\": %.4f}%s\n"
-           (json_escape pt.pt_phase) pt.pt_spans pt.pt_total_ms
+           (Util.Json.escape pt.pt_phase) pt.pt_spans pt.pt_total_ms
            (if i = List.length totals - 1 then "" else ",")))
     totals;
   Buffer.add_string b "  ],\n";
@@ -113,7 +101,7 @@ let trace_json ?query ~wall_ms ~spans ~dropped () =
         (Printf.sprintf
            "    {\"phase\": \"%s\", \"domain\": %d, \"seq\": %d, \
             \"start_us\": %.1f, \"dur_us\": %.1f, \"a\": %d, \"b\": %d}%s\n"
-           (json_escape s.Trace.sp_phase)
+           (Util.Json.escape s.Trace.sp_phase)
            s.Trace.sp_domain s.Trace.sp_seq
            (float_of_int s.Trace.sp_start_ns /. 1e3)
            (float_of_int s.Trace.sp_dur_ns /. 1e3)

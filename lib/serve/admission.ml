@@ -51,6 +51,10 @@ let release t =
   Condition.signal t.freed;
   Mutex.unlock t.m
 
+let with_permit t f =
+  acquire t;
+  Fun.protect ~finally:(fun () -> release t) f
+
 type stats = { peak : int; waits : int }
 
 let stats t =

@@ -14,6 +14,10 @@ val acquire : t -> unit
 val release : t -> unit
 (** Free a slot and wake one blocked session. *)
 
+val with_permit : t -> (unit -> 'a) -> 'a
+(** [with_permit t f] runs [f] holding a slot, and frees the slot when
+    [f] returns or raises. *)
+
 type stats = {
   peak : int;  (** high-water mark of concurrently admitted queries *)
   waits : int;  (** acquires that had to block *)

@@ -102,13 +102,12 @@ let run pipe (catalog : catalog_entry array) (traffic : Traffic.t) cfg =
         Unix.sleepf (r.Traffic.r_think_ms /. 1000.0);
       let t0 = Unix.gettimeofday () in
       let ts = Obs.Trace.start () in
-      Admission.acquire adm;
       let entry = catalog.(r.Traffic.r_query) in
       let res =
-        Core.Session.run pipe ~engine:cfg.engine ?pool:cfg.exec_pool
-          ?cache:cfg.cache entry.ce_query entry.ce_choice
+        Admission.with_permit adm (fun () ->
+            Core.Session.run pipe ~engine:cfg.engine ?pool:cfg.exec_pool
+              ?cache:cfg.cache entry.ce_query entry.ce_choice)
       in
-      Admission.release adm;
       Obs.Trace.span ph_request ~t0:ts ~a:r.Traffic.r_query
         ~b:res.Exec.Executor.work;
       let t1 = Unix.gettimeofday () in

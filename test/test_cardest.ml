@@ -36,6 +36,116 @@ let true_card_matches_brute_force_cyclic =
           Cardest.True_card.card tc s = expected)
         (QG.connected_subsets g))
 
+(* Shared-attribute cycles: column [a] of at least three relations is
+   joined pairwise (a clique of redundant triangle edges), and a random
+   spanning tree plus one random extra edge join the relations through
+   their other columns [b]/[c]. A subset's classes then depend on which
+   relations it holds (a chain r.b = s.b = u.c makes one class only
+   while s is inside), the same subtrees recur across subsets, and the
+   extra edge can put two columns of one relation into one class. Every
+   join column holds NULLs, which must match nothing. *)
+let shared_attribute_query prng ~relations ~rows =
+  let value () =
+    if Util.Prng.chance prng 0.1 then None else Some (1 + Util.Prng.int prng 3)
+  in
+  let rels =
+    Array.init relations (fun idx ->
+        let column name =
+          Storage.Column.of_ints ~name (Array.init rows (fun _ -> value ()))
+        in
+        let table =
+          Storage.Table.create ~name:(Printf.sprintf "s%d" idx)
+            [| column "a"; column "b"; column "c"; column "v" |]
+        in
+        let preds =
+          if Util.Prng.chance prng 0.3 then
+            [ Query.Predicate.Cmp { col = 3; op = Query.Predicate.Le; code = 2 } ]
+          else []
+        in
+        { QG.idx; alias = Printf.sprintf "s%d" idx; table; preds })
+  in
+  let edge l lc r rc =
+    { QG.left = l; left_col = lc; right = r; right_col = rc; pk_side = None }
+  in
+  let sharing =
+    Util.Prng.sample_without_replacement prng
+      (3 + Util.Prng.int prng (relations - 2))
+      relations
+    |> Array.to_list |> List.sort compare
+  in
+  let clique =
+    List.concat_map
+      (fun i ->
+        List.filter_map
+          (fun j -> if j < i then Some (edge j 0 i 0) else None)
+          sharing)
+      sharing
+  in
+  let tree =
+    List.init (relations - 1) (fun i ->
+        edge (i + 1) (1 + Util.Prng.int prng 2) (Util.Prng.int prng (i + 1))
+          (1 + Util.Prng.int prng 2))
+  in
+  let extra =
+    let l = Util.Prng.int prng relations and r = Util.Prng.int prng relations in
+    if l = r then []
+    else [ edge l (1 + Util.Prng.int prng 2) r (1 + Util.Prng.int prng 2) ]
+  in
+  QG.create ~name:"shared" rels (clique @ tree @ extra)
+
+let true_card_matches_brute_force_shared =
+  Support.qcheck_case ~count:200
+    ~name:"True_card = brute force (shared-attribute cycles)"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let prng = Util.Prng.create (seed + 2000) in
+      let relations = 5 + Util.Prng.int prng 2 in
+      let g = shared_attribute_query prng ~relations ~rows:5 in
+      let tc = Cardest.True_card.compute g in
+      Array.for_all
+        (fun s ->
+          let expected = float_of_int (Support.brute_force_count g s) in
+          Cardest.True_card.card tc s = expected)
+        (QG.connected_subsets g))
+
+(* Every connected subset of six large JOB queries at scale 0.001 (seed
+   42), digested as "<members> <float bits in hex>" lines in
+   [connected_subsets] order. The constants were recorded before the
+   projection and message caches existed, so they pin the cached
+   computation to the from-scratch one bit for bit. *)
+let truth_golden =
+  [
+    ("33a", 673, "48b5d1cac01990e0c2fccac0b1d262fa");
+    ("28a", 585, "f456c4af353a48325b4bcfcd4abcfe21");
+    ("31c", 382, "fce17a8969eeb4600cad53184e2df220");
+    ("29c", 240, "42f8c1f6d2542b541023e5776eed5e35");
+    ("24d", 248, "79b0a98a5a3df05952a56d5534c6c54b");
+    ("30a", 262, "e1ea9ce5fb6a991ccf2a9f7cc343cb6d");
+  ]
+
+let test_true_card_golden () =
+  let db = Datagen.Imdb_gen.generate ~seed:42 ~scale:0.001 () in
+  List.iter
+    (fun (name, count, digest) ->
+      let q = Workload.Job.find name in
+      let g =
+        (Sqlfront.Binder.bind_sql db ~name q.Workload.Job.sql)
+          .Sqlfront.Binder.graph
+      in
+      let tc = Cardest.True_card.compute g in
+      let subsets = QG.connected_subsets g in
+      let b = Buffer.create 4096 in
+      Array.iter
+        (fun s ->
+          Printf.bprintf b "%s %Lx\n"
+            (String.concat "." (List.map string_of_int (Bitset.to_list s)))
+            (Int64.bits_of_float (Cardest.True_card.card tc s)))
+        subsets;
+      Alcotest.(check int) (name ^ " subsets") count (Array.length subsets);
+      Alcotest.(check string) (name ^ " cardinality bits") digest
+        (Digest.to_hex (Digest.string (Buffer.contents b))))
+    truth_golden
+
 let test_true_card_imdb_query () =
   (* A real multi-join query on the small IMDB, against brute force. *)
   let db = Lazy.force Support.imdb in
@@ -363,6 +473,9 @@ let suite =
   [
     true_card_matches_brute_force;
     true_card_matches_brute_force_cyclic;
+    true_card_matches_brute_force_shared;
+    Alcotest.test_case "true card golden bits (6 JOB queries)" `Quick
+      test_true_card_golden;
     Alcotest.test_case "true card on IMDB query" `Quick test_true_card_imdb_query;
     Alcotest.test_case "true card zero result" `Quick test_true_card_zero_result;
     Alcotest.test_case "true card disconnected" `Quick test_true_card_rejects_disconnected;

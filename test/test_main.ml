@@ -26,4 +26,5 @@ let () =
       ("reopt", Test_reopt.suite);
       ("csv", Test_csv.suite);
       ("integration", Test_integration.suite);
+      ("cli", Test_cli.suite);
     ]

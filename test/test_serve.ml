@@ -106,6 +106,21 @@ let test_admission () =
     (Invalid_argument "Admission.create: limit must be >= 1") (fun () ->
       ignore (Admission.create ~limit:0))
 
+(* A request that raises must still free its slot. With a limit of 2, a
+   leaked permit would make the next acquire the second one in flight,
+   so the high-water mark tells the two apart without blocking. *)
+let test_admission_permit_on_exception () =
+  let gate = Admission.create ~limit:2 in
+  Alcotest.check_raises "body's exception propagates" (Failure "request failed")
+    (fun () -> Admission.with_permit gate (fun () -> failwith "request failed"));
+  Alcotest.(check int) "result passes through" 7
+    (Admission.with_permit gate (fun () -> 7));
+  Admission.acquire gate;
+  Admission.release gate;
+  let s = Admission.stats gate in
+  Alcotest.(check int) "permits came back" 1 s.Admission.peak;
+  Alcotest.(check int) "nothing blocked" 0 s.Admission.waits
+
 (* --- the serving identity (tentpole acceptance) ------------------------ *)
 
 let test_serve_identity () =
@@ -201,6 +216,8 @@ let suite =
       test_traffic_deterministic;
     Alcotest.test_case "traffic split and bounds" `Quick test_traffic_split;
     Alcotest.test_case "admission gate" `Quick test_admission;
+    Alcotest.test_case "admission permit survives exceptions" `Quick
+      test_admission_permit_on_exception;
     Alcotest.test_case "serving identity: cache on/off, pools" `Slow
       test_serve_identity;
     Alcotest.test_case "forced evictions under a tiny budget" `Slow

@@ -350,6 +350,13 @@ let test_render_boxplot () =
     (String.split_on_char '\n' s
     |> List.exists (fun l -> String.length l >= 7 && String.sub l 0 5 = "empty"))
 
+let test_json_escape () =
+  Alcotest.(check string) "quotes, backslash, newline, control bytes"
+    {|a\"b\\c\nd\u0009e\u001ff|}
+    (Util.Json.escape "a\"b\\c\nd\te\x1ff");
+  Alcotest.(check string) "UTF-8 and DEL pass through" "Am\xc3\xa9lie\x7f"
+    (Util.Json.escape "Am\xc3\xa9lie\x7f")
+
 let suite =
   [
     Alcotest.test_case "prng determinism" `Quick test_prng_determinism;
@@ -389,6 +396,7 @@ let suite =
       test_shard_map_concurrent;
     Alcotest.test_case "render table" `Quick test_render_table;
     Alcotest.test_case "render float cell" `Quick test_render_float_cell;
+    Alcotest.test_case "json escape" `Quick test_json_escape;
     Alcotest.test_case "render percent" `Quick test_render_percent;
     Alcotest.test_case "render boxplot" `Quick test_render_boxplot;
   ]
